@@ -12,7 +12,7 @@ GL(n,Q)-representations indexed by bipartitions:
 * free-group machinery for the degree-one Johnson invariant.
 """
 
-from .errors import Cancelled, CapacityError, ConsistencyError, InputError
+from .errors import CapacityError, ConsistencyError, InputError
 from .forests import (
     ForestStructure,
     StableTwistedDim,

@@ -6,8 +6,8 @@ trailing timing field.  Identical invocations produce byte-identical
 payloads once the timing field is excluded; cache entries never contain
 it.
 
-Exit codes: 0 success, 1 invalid input, 2 verification failure,
-3 capacity exceeded.
+Exit codes: 0 success, 1 invalid input, 2 verification failure (a failed
+case or an internal consistency check), 3 capacity exceeded.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .errors import CapacityError, InputError
+from .errors import CapacityError, ConsistencyError, InputError
 from .forests import cross_check_invariants, stable_aut_cohomology_dim
 from .homology import (
     albanese_dim_polynomial,
@@ -444,11 +443,7 @@ def cmd_verify(opts) -> int:
     started = time.monotonic()
     names = list(SUITES) if opts.suite == "all" else [opts.suite]
     args = {"suite": opts.suite}
-    cases: list[tuple[str, bool, str]] = []
-    with ThreadPoolExecutor(max_workers=opts.workers) as pool:
-        for chunk in pool.map(lambda name: SUITES[name](), names):
-            cases.extend(chunk)
-    cases.sort(key=lambda c: c[0])
+    cases = sorted((c for name in names for c in SUITES[name]()), key=lambda c: c[0])
     failures = [c for c in cases if not c[1]]
     result = {
         "cases": [{"case": c[0], "ok": c[1], "detail": c[2]} for c in cases],
@@ -524,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--suite", choices=tuple(SUITES) + ("all",), default="all"
     )
-    ver.add_argument("--workers", type=int, default=4)
     add_common(ver)
     ver.set_defaults(func=cmd_verify)
 
@@ -542,6 +536,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         sys.stderr.write(f"capacity: {exc}\n")
         return EXIT_CAPACITY
+    except ConsistencyError as exc:
+        sys.stderr.write(f"internal consistency check failed: {exc}\n")
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

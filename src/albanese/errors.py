@@ -16,7 +16,3 @@ class CapacityError(RuntimeError):
 
 class ConsistencyError(RuntimeError):
     """An internal exact cross-check failed; indicates a bug, not bad input."""
-
-
-class Cancelled(RuntimeError):
-    """A cooperative cancellation request was honoured."""

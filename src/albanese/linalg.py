@@ -1,32 +1,39 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals: one certified rank engine.
 
-Three rank engines, all exact:
+`exact_rank` and `kernel_basis` share one engine on Python ints, sparse
+elimination mod p with a kernel certificate (Dumas, Saunders and Villard,
+JSC 2001).  Rows are scaled to integers; for a rank the short side becomes
+the columns.  `modular_rank` reduces the rows mod p to reduced row echelon
+form with leftmost pivots; its r pivots pick a minor nonzero mod p, hence
+over Z, so rank >= r.  Unless r is the column count, each free column f
+gives a kernel vector mod p (1 at f, minus the RREF entries at the pivots
+left of f), lifted by rational reconstruction and checked over Z against
+every row.  The vectors are independent (the identity on the free columns),
+so rank <= r; each writes column f through pivot columns left of f, so they
+are the kernel basis of the RREF over Q.  A failed lift or check adds the
+next prime by CRT; a prime with fewer or later pivots than the best so far
+is unlucky and dropped.  After `MODULAR_PRIMES` the engine raises
+`ConsistencyError`: it never returns an unproven rank or kernel.
 
-* fraction-free Bareiss elimination on dense integer matrices (the default
-  for eliminated dimension <= 2000);
-* incremental sparse Gaussian elimination over Fraction rows (used for tall
-  sparse condition matrices and for kernel bases);
-* modular elimination at two independent 62-bit primes with mandatory
-  agreement, escalating to a third prime on disagreement (the default
-  above the Bareiss threshold).
-
-Ranks never depend on pivot order; recomputation by any engine must return
-the identical integer, and the test suite checks that.
+`bareiss_rank` and `sparse_rank_fraction` share no code with the engine;
+the tests compare the engine against them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError
 
-BAREISS_LIMIT = 2000
+#: 2^61 - 1 (Mersenne), then 62-bit primes; a certificate may combine all
+#: of them by CRT, which lifts kernel entries of up to about 240 bits
+MODULAR_PRIMES = (2305843009213693951, 4611686018427387847, 4611686018427387817,
+                  4611686018427387787, 4611686018427387761, 4611686018427387751,
+                  4611686018427387737, 4611686018427387733)
 
-#: 2^61 - 1 (Mersenne) and two more 62-bit primes for modular ranks
-MODULAR_PRIMES = (2305843009213693951, 4611686018427387847, 4611686018427387817)
-
-SparseRow = dict[int, Fraction]
+Rows = Iterable[dict[int, int] | dict[int, Fraction]]
 
 
 def bareiss_rank(matrix: Sequence[Sequence[int]]) -> int:
@@ -35,7 +42,6 @@ def bareiss_rank(matrix: Sequence[Sequence[int]]) -> int:
     if not m or not m[0]:
         return 0
     rows, cols = len(m), len(m[0])
-    rank = 0
     prev = 1
     r = 0
     for c in range(cols):
@@ -49,167 +55,169 @@ def bareiss_rank(matrix: Sequence[Sequence[int]]) -> int:
             m[i][c] = 0
         prev = m[r][c]
         r += 1
-        rank += 1
         if r == rows:
             break
-    return rank
+    return r
 
 
-def _normalize_rows(rows: Iterable[dict[int, int] | dict[int, Fraction]]) -> list[SparseRow]:
-    out = []
+def sparse_rank_fraction(rows: Rows) -> int:
+    """Rank by incremental sparse elimination over Fraction rows."""
+    pivots: dict[int, dict[int, Fraction]] = {}
     for row in rows:
-        clean = {c: Fraction(v) for c, v in row.items() if v != 0}
-        if clean:
-            out.append(clean)
-    return out
-
-
-def sparse_rank_fraction(
-    rows: Iterable[dict[int, int] | dict[int, Fraction]],
-    *,
-    stop_at: int | None = None,
-) -> int:
-    """Rank by incremental sparse elimination with leftmost-column pivots."""
-    pivots: dict[int, SparseRow] = {}
-    for row in _normalize_rows(rows):
-        row = _reduce_row(row, pivots)
-        if row:
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        while row:
             c = min(row)
-            inv = 1 / row[c]
-            pivots[c] = {k: v * inv for k, v in row.items()}
-            if stop_at is not None and len(pivots) >= stop_at:
+            prow = pivots.get(c)
+            if prow is None:
+                inv = 1 / row[c]
+                pivots[c] = {k: v * inv for k, v in row.items()}
                 break
+            f = row[c]
+            for k, v in prow.items():
+                nv = row.get(k, 0) - f * v
+                if nv:
+                    row[k] = nv
+                else:
+                    row.pop(k, None)
     return len(pivots)
 
 
-def _reduce_row(row: SparseRow, pivots: dict[int, SparseRow]) -> SparseRow:
-    row = dict(row)
-    while row:
-        c = min(row)
-        prow = pivots.get(c)
-        if prow is None:
-            return row
-        f = row[c]
-        for k, v in prow.items():
-            nv = row.get(k, Fraction(0)) - f * v
-            if nv:
-                row[k] = nv
-            else:
-                row.pop(k, None)
-    return row
+def modular_rank(
+    rows: Sequence[dict[int, int]], p: int, *, stop_at: int | None = None
+) -> dict[int, dict[int, int]]:
+    """Reduced row echelon form mod p of integer rows, as pivot column -> row.
 
-
-def _modular_rank_single(rows: list[dict[int, int]], p: int) -> int:
+    Gauss-Jordan with leftmost pivots: pivot rows stay reduced against each
+    other, so a new row is cleared in one pass.  Stops at `stop_at` pivots.
+    """
     pivots: dict[int, dict[int, int]] = {}
-    rank = 0
     for row in rows:
-        cur = {c: v % p for c, v in row.items() if v % p}
-        while cur:
-            c = min(cur)
+        cur: dict[int, int] = {}
+        for c, v in row.items():
             prow = pivots.get(c)
             if prow is None:
-                inv = pow(cur[c], -1, p)
-                pivots[c] = {k: (v * inv) % p for k, v in cur.items()}
-                rank += 1
-                break
-            f = cur[c]
-            for k, v in prow.items():
-                nv = (cur.get(k, 0) - f * v) % p
-                if nv:
-                    cur[k] = nv
-                else:
-                    cur.pop(k, None)
-    return rank
-
-
-def modular_rank(rows: Iterable[dict[int, int]], *, primes=MODULAR_PRIMES) -> int:
-    """Rank via elimination mod two primes; third prime arbitrates disagreement."""
-    cache_rows = [dict(r) for r in rows]
-    r1 = _modular_rank_single(cache_rows, primes[0])
-    r2 = _modular_rank_single(cache_rows, primes[1])
-    if r1 == r2:
-        return r1
-    r3 = _modular_rank_single(cache_rows, primes[2])
-    if r3 in (r1, r2):
-        return r3
-    raise ConsistencyError(f"modular ranks disagree pairwise: {r1}, {r2}, {r3}")
-
-
-def _clear_denominators(row: SparseRow) -> dict[int, int]:
-    lcm = 1
-    for v in row.values():
-        d = v.denominator
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
-    return {c: int(v * lcm) for c, v in row.items()}
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def exact_rank(rows: Iterable[dict[int, int] | dict[int, Fraction]], ncols: int) -> int:
-    """Exact rank of a sparse-rows matrix, dispatching on eliminated size.
-
-    Dense Bareiss when both dimensions fit the threshold, sparse rational
-    elimination for tall-but-narrow systems, double-prime modular above.
-    """
-    rows = _normalize_rows(rows)
-    if not rows:
-        return 0
-    if ncols <= BAREISS_LIMIT:
-        if len(rows) <= BAREISS_LIMIT:
-            int_rows = [_clear_denominators(r) for r in rows]
-            dense = [[r.get(c, 0) for c in range(ncols)] for r in int_rows]
-            return bareiss_rank(dense)
-        return sparse_rank_fraction(rows, stop_at=ncols)
-    return modular_rank([_clear_denominators(r) for r in rows])
-
-
-def rref(rows: Iterable[dict[int, int] | dict[int, Fraction]]) -> dict[int, SparseRow]:
-    """Fully reduced row echelon form, returned as pivot-column -> row."""
-    pivots: dict[int, SparseRow] = {}
-    for row in _normalize_rows(rows):
-        row = _reduce_row(row, pivots)
-        if not row:
+                cur[c] = cur.get(c, 0) + v
+            else:
+                for k, w in prow.items():
+                    cur[k] = cur.get(k, 0) - v * w
+        cur = {k: v % p for k, v in cur.items() if k not in pivots and v % p}
+        if not cur:
             continue
-        c = min(row)
-        inv = 1 / row[c]
-        row = {k: v * inv for k, v in row.items()}
-        for pc, prow in list(pivots.items()):
+        c = min(cur)
+        inv = pow(cur[c], -1, p)
+        new = {k: v * inv % p for k, v in cur.items()}
+        for prow in pivots.values():
             f = prow.get(c)
             if f:
-                for k, v in row.items():
-                    nv = prow.get(k, Fraction(0)) - f * v
+                for k, v in new.items():
+                    nv = (prow.get(k, 0) - f * v) % p
                     if nv:
                         prow[k] = nv
                     else:
                         prow.pop(k, None)
-        pivots[c] = row
+        pivots[c] = new
+        if len(pivots) == stop_at:
+            break
     return pivots
 
 
-def kernel_basis(
-    rows: Iterable[dict[int, int] | dict[int, Fraction]], ncols: int
-) -> list[dict[int, int]]:
+def _integer_rows(rows: Rows) -> list[dict[int, int]]:
+    """Drop zero entries and empty rows; scale each row to integers."""
+    out = []
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            den = lcm(*(v.denominator for v in row.values()))
+            out.append({c: int(v * den) for c, v in row.items()})
+    return out
+
+
+def _lift(kernel: dict[int, dict[int, int]], m: int) -> list[dict[int, int]] | None:
+    """The vectors lifted by rational reconstruction (|n|, d <= sqrt(m/2)), or None."""
+    bound = isqrt(m // 2)
+    basis = []
+    for vec in kernel.values():
+        fracs = {}
+        for c, x in vec.items():
+            r0, r1, t0, t1 = m, x, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+            if abs(t1) > bound:
+                return None
+            fracs[c] = Fraction(r1, t1)
+        den = lcm(*(x.denominator for x in fracs.values()))
+        basis.append({c: int(x * den) for c, x in fracs.items()})
+    return basis
+
+
+def _annihilates(rows: list[dict[int, int]], basis: list[dict[int, int]]) -> bool:
+    """Whether every row has zero product with every basis vector, over Z."""
+    by_col: dict[int, list[tuple[int, int]]] = {}
+    for i, vec in enumerate(basis):
+        for c, v in vec.items():
+            by_col.setdefault(c, []).append((i, v))
+    for row in rows:
+        acc: dict[int, int] = {}
+        for c, a in row.items():
+            for i, v in by_col.get(c, ()):
+                acc[i] = acc.get(i, 0) + a * v
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _certified(rows: list[dict[int, int]], ncols: int) -> tuple[int, list[dict[int, int]]]:
+    """Proven rank and integer kernel basis of integer rows (see the module doc)."""
+    best, kernel, m = None, {}, 1
+    for p in MODULAR_PRIMES:
+        pivots = modular_rank(rows, p, stop_at=ncols)
+        if len(pivots) == ncols:
+            return ncols, []
+        order = sorted(pivots)
+        residues = {f: {f: 1} for f in range(ncols) if f not in pivots}  # kernel mod p
+        for pc, prow in pivots.items():
+            for f, v in prow.items():
+                if f != pc:
+                    residues[f][pc] = p - v
+        if best is None or (-len(order), order) < (-len(best), best):
+            best, kernel, m = order, residues, p
+        elif order == best:
+            m_inv = pow(m, -1, p)
+            for f, vec in kernel.items():  # CRT: x = a mod m, x = b mod p
+                for c in vec.keys() | residues[f].keys():
+                    a = vec.get(c, 0)
+                    vec[c] = a + m * ((residues[f].get(c, 0) - a) * m_inv % p)
+            m *= p
+        else:
+            continue
+        basis = _lift(kernel, m)
+        if basis is not None and _annihilates(rows, basis):
+            return len(best), basis
+    raise ConsistencyError(
+        f"no certified rank of a {len(rows)}x{ncols} matrix in {len(MODULAR_PRIMES)} primes"
+    )
+
+
+def exact_rank(rows: Rows, ncols: int) -> int:
+    """Proven rank over Q of a sparse-rows matrix with `ncols` columns."""
+    rows = _integer_rows(rows)
+    if ncols > len(rows):
+        cols: dict[int, dict[int, int]] = {}
+        for i, row in enumerate(rows):
+            for c, v in row.items():
+                cols.setdefault(c, {})[i] = v
+        rows, ncols = list(cols.values()), len(rows)
+    return _certified(rows, ncols)[0]
+
+
+def kernel_basis(rows: Rows, ncols: int) -> list[dict[int, int]]:
     """Integer basis of the right kernel of a sparse-rows matrix.
 
-    One vector per free column, with denominators cleared; deterministic in
-    the column order.
+    One vector per free column of the RREF over Q, in column order, with
+    denominators cleared and a positive entry at its free column.
     """
-    pivots = rref(rows)
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free_cols:
-        vec = {f: Fraction(1)}
-        for pc, prow in pivots.items():
-            coeff = prow.get(f)
-            if coeff:
-                vec[pc] = -coeff
-        basis.append(_clear_denominators(vec))
-    return basis
+    return _certified(_integer_rows(rows), ncols)[1]
 
 
 def dump_sparse_triplets(columns: Sequence[dict[int, int] | dict[int, Fraction]], fh) -> None:

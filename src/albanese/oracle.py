@@ -22,8 +22,6 @@ from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial
 
-import numpy as np
-
 from .errors import CapacityError, ConsistencyError, InputError
 from .linalg import dump_sparse_triplets, exact_rank, kernel_basis
 from .partitions import Bipartition, Partition, check_partition
@@ -449,14 +447,6 @@ def omega_subgroup_columns(n: int, p: int, q: int) -> list[dict[Word, int]]:
     return cols
 
 
-def _subspace_array(sub: TracelessSubspace) -> np.ndarray:
-    arr = np.zeros((len(sub.basis), sub.rep.dim), dtype=np.int64)
-    for a, vec in enumerate(sub.basis):
-        for i, c in vec.items():
-            arr[a, i] = c
-    return arr
-
-
 def omega_prime_rank(n: int, p: int, q: int) -> int:
     """Rank of the composite (project to traceless product) . (omega columns).
 
@@ -467,23 +457,23 @@ def omega_prime_rank(n: int, p: int, q: int) -> int:
     """
     dual1 = traceless_subspace(n, q, p)  # pairs with factor 1 of the codomain
     dual2 = traceless_subspace(n, p, q)
-    b1 = _subspace_array(dual1)
-    b2 = _subspace_array(dual2)
-    assert max(1, int(np.abs(b1).max())) * max(1, int(np.abs(b2).max())) * n ** (
-        p + q
-    ) < 2**60, "pairing entries must stay exact in int64"
+    b1, b2 = {}, {}  # coordinate -> [(basis vector, entry)]
+    for sub, by_coord in ((dual1, b1), (dual2, b2)):
+        for a, vec in enumerate(sub.basis):
+            for i, c in vec.items():
+                by_coord.setdefault(i, []).append((a, c))
+    k2 = dual2.dimension
     rows = []
     for col in omega_subgroup_columns(n, p, q):
-        m = np.zeros((b1.shape[0], b2.shape[0]), dtype=np.int64)
+        row: dict[int, int] = {}
         for (up, lo), c in col.items():
-            i1, i2 = up[:p], up[p:]
-            j1, j2 = lo[:q], lo[q:]
-            w1 = dual1.rep.index[(j1, i1)]
-            w2 = dual2.rep.index[(j2, i2)]
-            m += c * np.outer(b1[:, w1], b2[:, w2])
-        flat = m.ravel()
-        rows.append({i: int(v) for i, v in enumerate(flat) if v})
-    return exact_rank(rows, b1.shape[0] * b2.shape[0])
+            w1 = dual1.rep.index[(lo[:q], up[:p])]
+            w2 = dual2.rep.index[(lo[q:], up[p:])]
+            for a, x in b1.get(w1, ()):
+                for b, y in b2.get(w2, ()):
+                    row[a * k2 + b] = row.get(a * k2 + b, 0) + c * x * y
+        rows.append(row)
+    return exact_rank(rows, dual1.dimension * k2)
 
 
 def omega_prime_verify(n: int, p: int, q: int) -> bool:

@@ -10,14 +10,13 @@ and dimensions come from the Weyl product on the padded highest weight.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 from typing import Iterable, Iterator, Mapping
 
-from .errors import Cancelled, CapacityError, InputError
+from .errors import CapacityError, ConsistencyError, InputError
 from .partitions import (
     Bipartition,
     Partition,
@@ -206,7 +205,8 @@ def dim_irrep(b: Bipartition, n: int) -> int:
         for j in range(i + 1, n):
             num *= w[i] - w[j] + j - i
             den *= j - i
-    assert num % den == 0
+    if num % den:
+        raise ConsistencyError(f"Weyl product {num}/{den} for {b} at rank {n} is not integral")
     return num // den
 
 
@@ -332,13 +332,12 @@ def plethysm_schur(
     inner: Partition,
     *,
     size_cap: int | None = None,
-    cancel: threading.Event | None = None,
 ) -> dict[Partition, int]:
     """Exact Schur expansion of the plethysm s_outer[s_inner].
 
     Route: expand both in power sums, use p_k o p_l = p_{kl}, and convert
     back with symmetric-group characters.  Intermediate coefficients are
-    exact rationals; the result is asserted integral and nonnegative.
+    exact rationals; the result is checked to be integral and nonnegative.
     """
     outer, inner = check_partition(outer), check_partition(inner)
     cap = PLETHYSM_SIZE_CAP if size_cap is None else size_cap
@@ -351,12 +350,7 @@ def plethysm_schur(
     if not inner:
         # empty inner alphabet: s_outer[1] is 1 for one-row shapes, else 0
         return {(): 1} if len(outer) <= 1 else {}
-    return _plethysm_cached(outer, inner, cancel)
-
-
-def _check_cancel(cancel: threading.Event | None) -> None:
-    if cancel is not None and cancel.is_set():
-        raise Cancelled("plethysm computation cancelled")
+    return _plethysm_cached(outer, inner)
 
 
 @cache
@@ -368,14 +362,11 @@ def _plethysm_power_sum(inner: Partition) -> tuple[tuple[Partition, Fraction], .
     )
 
 
-def _plethysm_cached(
-    outer: Partition, inner: Partition, cancel: threading.Event | None
-) -> dict[Partition, int]:
+def _plethysm_cached(outer: Partition, inner: Partition) -> dict[Partition, int]:
     inner_p = _plethysm_power_sum(inner)
     target = sum(outer) * sum(inner)
     acc: dict[Partition, Fraction] = {}
     for rho in partitions_of(sum(outer)):
-        _check_cancel(cancel)
         coeff = Fraction(symmetric_group_character(outer, rho), centralizer_order(rho))
         prod: dict[Partition, Fraction] = {(): Fraction(1)}
         for r in rho:
@@ -389,12 +380,12 @@ def _plethysm_cached(
             acc[tau] = acc.get(tau, Fraction(0)) + coeff * c
     out: dict[Partition, int] = {}
     for nu in partitions_of(target):
-        _check_cancel(cancel)
         val = sum(
             (c * symmetric_group_character(nu, tau) for tau, c in acc.items()),
             Fraction(0),
         )
-        assert val.denominator == 1 and val >= 0, (outer, inner, nu, val)
+        if val.denominator != 1 or val < 0:
+            raise ConsistencyError(f"plethysm s{outer}[s{inner}] has coefficient {val} at {nu}")
         if val:
             out[nu] = int(val)
     return out

@@ -1,6 +1,7 @@
 import json
 
-from albanese.cli import CACHE_ENV_VAR, EXIT_CAPACITY, EXIT_INPUT, EXIT_OK, main
+from albanese.cli import CACHE_ENV_VAR, EXIT_CAPACITY, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
+from albanese.errors import ConsistencyError
 
 
 def run(capsys, *argv):
@@ -175,6 +176,18 @@ class TestVerifyCommand:
         assert code == 2
         assert payload(out)["result"]["failed"] == 1
         assert "first failure: rigged case" in err
+
+    def test_consistency_error_exits_2(self, capsys, monkeypatch):
+        import albanese.cli as cli
+
+        def broken():
+            raise ConsistencyError("rigged check")
+
+        monkeypatch.setitem(cli.SUITES, "io-split", broken)
+        code, out, err = run(capsys, "verify", "--suite", "io-split")
+        assert code == EXIT_VERIFY
+        assert out == ""
+        assert err == "internal consistency check failed: rigged check\n"
 
 
 class TestCache:

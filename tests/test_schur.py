@@ -1,9 +1,8 @@
-import threading
 from fractions import Fraction
 
 import pytest
 
-from albanese.errors import Cancelled, CapacityError, InputError
+from albanese.errors import CapacityError, InputError
 from albanese.partitions import Bipartition, partitions_of
 from albanese.schur import (
     Decomposition,
@@ -107,12 +106,6 @@ class TestPlethysm:
         with pytest.raises(CapacityError):
             plethysm_schur((5,), (5,))
         assert plethysm_schur((5,), (5,), size_cap=25)  # explicit cap raise works
-
-    def test_cancellation(self):
-        ev = threading.Event()
-        ev.set()
-        with pytest.raises(Cancelled):
-            plethysm_schur((3, 1), (2, 1), cancel=ev)
 
     def test_empty_cases(self):
         assert plethysm_schur((), (2, 1)) == {(): 1}
